@@ -2,8 +2,9 @@
 TRNG throughput, bit-serial ALU latency, compiled-expression execution,
 and the analytic in-DRAM-vs-bus throughput table.
 
-Unlike the ``bench_fig*`` targets (one run per paper artifact), these
-are conventional multi-round microbenchmarks of the library itself.
+Unlike figure regeneration (``perfbench/run.py``, one run per paper
+artifact), these are conventional multi-round microbenchmarks of the
+library itself.
 """
 
 import numpy as np

@@ -1,21 +1,15 @@
 """Shared benchmark configuration.
 
-Each ``bench_figXX.py`` regenerates one of the paper's tables/figures at
-``BENCH_SCALE`` and prints the same rows/series the paper reports, with
-the paper's quoted anchors alongside.  ``pytest benchmarks/
---benchmark-only`` runs the full set.
+The ablation and extension benches import :data:`BENCH_SCALE`.  Figure
+regeneration is benchmarked by ``perfbench/run.py`` (the
+``registry_smoke`` workload runs every experiment); ``python -m
+repro.characterization <id>`` regenerates a single figure.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
-import pytest
-
-from repro.characterization import Resilience, Scale, run_experiment
-from repro.analysis.compare import compare_experiment
+from repro.characterization import Scale
 from repro.dram.config import ChipGeometry
-from repro.faults import FaultPlan
 
 #: Benchmark scale: one small module per Table-1 spec type — large
 #: enough for every trend to show, small enough for the suite to finish
@@ -31,98 +25,3 @@ BENCH_SCALE = Scale(
         banks=1, subarrays_per_bank=2, rows_per_subarray=96, columns=48
     ),
 )
-
-
-#: Fault plan injected into every benchmarked sweep (``--faults``).
-_FAULT_PLAN: Optional[FaultPlan] = None
-
-
-def pytest_addoption(parser):
-    parser.addoption(
-        "--jobs",
-        action="store",
-        type=int,
-        default=1,
-        help="worker processes per sweep (default 1 = serial; results are "
-        "bit-identical at any job count)",
-    )
-    parser.addoption(
-        "--faults",
-        action="store",
-        default=None,
-        help="JSON fault plan to inject into every benchmarked sweep "
-        "(exercises the retry path under timing measurement)",
-    )
-    parser.addoption(
-        "--batch-trials",
-        action="store",
-        type=int,
-        default=0,
-        help="trial engine for every benchmarked sweep: 0 = batched "
-        "(default), 1 = serial per-trial path, k>1 caps the block size; "
-        "results are bit-identical at any setting",
-    )
-
-
-#: Trial-engine setting applied to every benchmarked sweep.
-_BATCH_TRIALS: int = 0
-
-
-def pytest_configure(config):
-    global _FAULT_PLAN, _BATCH_TRIALS
-    path = config.getoption("--faults", default=None)
-    _FAULT_PLAN = FaultPlan.load(path) if path else None
-    _BATCH_TRIALS = config.getoption("--batch-trials", default=0)
-
-
-@pytest.fixture(scope="session")
-def bench_scale():
-    return BENCH_SCALE
-
-
-@pytest.fixture(scope="session")
-def sweep_jobs(request):
-    return request.config.getoption("--jobs")
-
-
-def run_and_report(benchmark, experiment_id: str, seed: int = 1, jobs: int = 1):
-    """Benchmark one experiment run and print its figure reproduction."""
-    scale = BENCH_SCALE.with_batch_trials(_BATCH_TRIALS)
-    kwargs = {"scale": scale, "seed": seed, "jobs": jobs}
-    if _FAULT_PLAN is not None:
-        # A fresh Resilience per round: health must not leak between
-        # benchmark iterations.
-        kwargs["resilience"] = Resilience(faults=_FAULT_PLAN)
-    result = benchmark.pedantic(
-        run_experiment,
-        args=(experiment_id,),
-        kwargs=kwargs,
-        rounds=1,
-        iterations=1,
-    )
-    print()
-    health_text = result.format_health()
-    if health_text:
-        print(health_text)
-    if "table" in result.extras:
-        print(result.extras["table"])
-    print(result.format_table())
-    for key in sorted(result.extras):
-        if key.startswith("heatmap"):
-            print(result.format_heatmap(key=key))
-    rows = compare_experiment(result)
-    if rows:
-        print("  paper-vs-measured:")
-        for row in rows:
-            measured = (
-                f"{row.measured_value * 100:6.2f}%"
-                if row.measured_value is not None and abs(row.paper_value) <= 1
-                else str(row.measured_value)
-            )
-            paper = (
-                f"{row.paper_value * 100:6.2f}%"
-                if abs(row.paper_value) <= 1
-                else str(row.paper_value)
-            )
-            print(f"    {row.metric}: paper {paper} / measured {measured}")
-    return result

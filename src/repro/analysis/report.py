@@ -162,12 +162,14 @@ def generate_report(
         "",
         "## Batched execution",
         "",
-        "Within each worker, trials execute on the batched engine: a whole",
-        "block of trials evaluates as one vectorized pass over a leading",
-        "NumPy trials axis instead of one program execution per trial.",
-        "`--batch-trials` selects the engine (`0`, the default, batches",
-        "blocks of up to 1024 trials; `1` recovers the serial per-trial",
-        "loop; `k > 1` caps block size at `k`).  The engine is an",
+        "Within each worker, trials execute in blocks through one code",
+        "path: a block of more than one trial evaluates on the",
+        "lane-batched engine as one vectorized pass over a leading NumPy",
+        "trials axis, and a one-trial block runs on the serial bank",
+        "engine.  `--batch-trials` selects the block size (`0`, the",
+        "default, batches blocks of up to 1024 trials; `1` runs every",
+        "trial on the serial engine; `k > 1` caps block size at `k`).",
+        "The engine is an",
         "execution detail, not a measurement parameter: every success",
         "count below is bit-identical for any setting — including under",
         "fault injection — because per-trial noise substreams and",

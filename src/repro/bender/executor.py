@@ -16,15 +16,11 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..errors import (
-    CommandSequenceError,
-    ProgramVerificationError,
-    TimingViolationError,
-)
+from ..errors import ProgramVerificationError, TimingViolationError
 from ..dram.batch import BatchedModule
 from ..dram.module import Module
 # diagnostics has no repro-internal imports, so this cannot cycle; the
@@ -236,44 +232,8 @@ class ProgramExecutor:
         return report.diagnostics
 
     def run(self, program: TestProgram) -> ExecutionResult:
-        if self.faults is not None:
-            # A host command timeout aborts the program before any
-            # command reaches the module, exactly like the real bench
-            # dropping a DMA transaction: the device state is untouched
-            # and the whole program is safe to re-issue.
-            self.faults.on_program(program.name)
-        diagnostics = self._preflight(program) + self._preflight_semantics(
-            program
-        )
-        timing = program.timing
-        clocks: Dict[int, _BankClock] = {}
-        reads: List[ReadRecord] = []
-        violations: List[str] = []
-        start_ns = self._now_ns
-
-        for index, command in enumerate(program):
-            clock = clocks.setdefault(command.bank, _BankClock())
-            self._check_timing(command, clock, timing, violations)
-            self._dispatch(command, index, reads)
-            self._now_ns += command.wait_cycles * timing.t_ck
-
-        # Give every touched bank a chance to complete a trailing PRE.
-        settle_at = self._now_ns + timing.t_rc
-        for bank in clocks:
-            self.module.settle(bank, settle_at)
-        self._now_ns = settle_at
-
-        if self.strict and violations:
-            raise TimingViolationError(
-                f"program {program.name or '<anonymous>'} violated timings: "
-                + "; ".join(violations)
-            )
-        return ExecutionResult(
-            reads=reads,
-            duration_ns=self._now_ns - start_ns,
-            violations=violations,
-            diagnostics=diagnostics,
-        )
+        """Replay ``program`` once against the module."""
+        return self._execute(program, self.module, None)
 
     def run_batched(
         self, program: TestProgram, batch: BatchedModule
@@ -296,11 +256,55 @@ class ProgramExecutor:
         * ``now_ns`` advances by ``n_trials`` single-pass durations, and
           timing violations are recorded once instead of per trial.
         """
+        return self._execute(program, batch, batch.trial_indices)
+
+    def filter_read(
+        self,
+        bank: int,
+        row: int,
+        bits: np.ndarray,
+        trials: Optional[Sequence[int]] = None,
+    ) -> np.ndarray:
+        """Apply the fault injector's read corruption to ``bits``.
+
+        Without ``trials`` the injector's current trial scope applies.
+        With a block's ``trials``, ``bits`` is ``(n_trials, row_bits)``
+        and each trial's row is filtered under its own scope.
+        """
+        faults = self.faults
+        if faults is None:
+            return bits
+        if trials is None:
+            return faults.filter_read(bank, row, bits)
+        filtered = bits.copy()
+        for i, trial in enumerate(trials):
+            faults.set_trial(trial)
+            filtered[i] = faults.filter_read(bank, row, bits[i])
+        return filtered
+
+    # ------------------------------------------------------------------
+
+    def _execute(
+        self,
+        program: TestProgram,
+        device: Union[Module, BatchedModule],
+        trials: Optional[Sequence[int]],
+    ) -> ExecutionResult:
+        """The command loop behind :meth:`run` and :meth:`run_batched`.
+
+        ``device`` takes ``(bank, row, ...)`` arguments either way;
+        ``trials`` holds a block's trial indices (``None`` outside one).
+        """
         if self.faults is not None:
-            # Per-trial timeout rolls, in trial order: the same (trial,
-            # occurrence) pairs a serial loop would roll, so the same
-            # trial times out in either execution mode.
-            for trial in batch.trial_indices:
+            # A host command timeout aborts the program before any
+            # command reaches the module, exactly like the real bench
+            # dropping a DMA transaction: the device state is untouched
+            # and the whole program is safe to re-issue.  A block rolls
+            # once per trial, in trial order: the same (trial,
+            # occurrence) pairs a serial loop would roll.
+            if trials is None:
+                self.faults.on_program(program.name)
+            for trial in trials or ():
                 self.faults.set_trial(trial)
                 self.faults.on_program(program.name)
         diagnostics = self._preflight(program) + self._preflight_semantics(
@@ -313,25 +317,23 @@ class ProgramExecutor:
         start_ns = self._now_ns
 
         for index, command in enumerate(program):
-            if command.opcode is not Opcode.NOP and command.bank != batch.bank_index:
-                raise CommandSequenceError(
-                    f"batched execution is bound to bank {batch.bank_index}; "
-                    f"command {index} targets bank {command.bank}"
-                )
-            clock = clocks.setdefault(command.bank, _BankClock())
-            self._check_timing(command, clock, timing, violations)
-            self._dispatch_batched(command, index, reads, batch)
+            # NOP touches no bank; only time advances.
+            if command.opcode is not Opcode.NOP:
+                clock = clocks.setdefault(command.bank, _BankClock())
+                self._check_timing(command, clock, timing, violations)
+                self._dispatch(device, trials, command, index, reads)
             self._now_ns += command.wait_cycles * timing.t_ck
 
+        # Give every touched bank a chance to complete a trailing PRE.
         settle_at = self._now_ns + timing.t_rc
-        batch.settle(settle_at)
+        for bank in clocks:
+            device.settle(bank, settle_at)
         self._now_ns = settle_at
-
-        # The bus replayed the program once per trial: advance the clock
-        # accordingly so interleaved serial/batched sessions stay
-        # monotone and account the same total bus time.
-        single_pass_ns = self._now_ns - start_ns
-        self._now_ns = start_ns + batch.n_trials * single_pass_ns
+        if trials is not None and len(trials) > 1:
+            # The bus replayed the program once per trial: advance the
+            # clock accordingly so interleaved serial/batched sessions
+            # stay monotone and account the same total bus time.
+            self._now_ns = start_ns + len(trials) * (settle_at - start_ns)
 
         if self.strict and violations:
             raise TimingViolationError(
@@ -345,62 +347,27 @@ class ProgramExecutor:
             diagnostics=diagnostics,
         )
 
-    # ------------------------------------------------------------------
-
-    def _dispatch_batched(
+    def _dispatch(
         self,
+        device: Union[Module, BatchedModule],
+        trials: Optional[Sequence[int]],
         command: Command,
         index: int,
         reads: List[ReadRecord],
-        batch: BatchedModule,
     ) -> None:
         now = self._now_ns
+        bank, row = command.bank, command.row
         if command.opcode is Opcode.ACT:
-            batch.activate(command.row, now)
+            device.activate(bank, row, now)
         elif command.opcode is Opcode.PRE:
-            batch.precharge(now)
+            device.precharge(bank, now)
         elif command.opcode is Opcode.WR:
-            batch.write(command.row, command.data, now)
+            device.write(bank, row, command.data, now)
         elif command.opcode is Opcode.RD:
-            bits = batch.read(command.row, now)
-            if self.faults is not None:
-                filtered = bits.copy()
-                for i, trial in enumerate(batch.trial_indices):
-                    self.faults.set_trial(trial)
-                    filtered[i] = self.faults.filter_read(
-                        command.bank, command.row, bits[i]
-                    )
-                bits = filtered
-            reads.append(
-                ReadRecord(index, command.bank, command.row, command.label, bits)
-            )
+            bits = self.filter_read(bank, row, device.read(bank, row, now), trials)
+            reads.append(ReadRecord(index, bank, row, command.label, bits))
         elif command.opcode is Opcode.REF:
-            batch.refresh(now)
-        elif command.opcode is Opcode.NOP:
-            pass
-
-    def _dispatch(
-        self, command: Command, index: int, reads: List[ReadRecord]
-    ) -> None:
-        module = self.module
-        now = self._now_ns
-        if command.opcode is Opcode.ACT:
-            module.activate(command.bank, command.row, now)
-        elif command.opcode is Opcode.PRE:
-            module.precharge(command.bank, now)
-        elif command.opcode is Opcode.WR:
-            module.write(command.bank, command.row, command.data, now)
-        elif command.opcode is Opcode.RD:
-            bits = module.read(command.bank, command.row, now)
-            if self.faults is not None:
-                bits = self.faults.filter_read(command.bank, command.row, bits)
-            reads.append(
-                ReadRecord(index, command.bank, command.row, command.label, bits)
-            )
-        elif command.opcode is Opcode.REF:
-            module.refresh(command.bank, now)
-        elif command.opcode is Opcode.NOP:
-            pass  # NOP touches no bank; time advances in run()
+            device.refresh(bank, now)
 
     def _check_timing(
         self,

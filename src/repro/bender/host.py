@@ -15,7 +15,7 @@ paths exist:
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Union
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from ..dram.timing import TimingParameters
 from .executor import ExecutionResult, ProgramExecutor
 from .program import TestProgram
 
-__all__ = ["DramBenderHost", "BatchedTrialSession"]
+__all__ = ["DramBenderHost", "BatchedTrialSession", "RowAccess"]
 
 
 class DramBenderHost:
@@ -104,12 +104,10 @@ class DramBenderHost:
 
     def peek_row(self, bank: int, row: int) -> np.ndarray:
         """Backdoor readout of one row."""
+        # Cell-level faults are physical: they show on the backdoor path
+        # exactly as on the command path.
         bits = self.module.load_bits(bank, row)
-        if self.faults is not None:
-            # Cell-level faults are physical: they show on the backdoor
-            # path exactly as on the command path.
-            bits = self.faults.filter_read(bank, row, bits)
-        return bits
+        return self.executor.filter_read(bank, row, bits)
 
     def fill_subarray(
         self, bank: int, subarray: int, bits_per_row: np.ndarray
@@ -140,46 +138,44 @@ class DramBenderHost:
 
     # -- trial-axis execution ---------------------------------------------
 
-    def begin_trial(self, bank: int) -> int:
-        """Start the next measurement trial on ``bank`` (serial path).
-
-        Switches the bank's analog noise to the trial's substream and
-        scopes fault injection to the trial index, mirroring what
-        :meth:`batched_trials` does for a whole block at once.
-        """
-        index = self.module.begin_trial(bank)
-        if self.faults is not None:
-            self.faults.set_trial(index)
-        return index
-
     def end_trials(self) -> None:
         """Leave per-trial fault scoping after a measurement completes."""
         if self.faults is not None:
             self.faults.set_trial(None)
 
     def batched_trials(self, bank: int, n_trials: int) -> "BatchedTrialSession":
-        """Open a batched block of ``n_trials`` trials against ``bank``."""
+        """Open a block of ``n_trials`` trials against ``bank``.
+
+        A one-trial block runs on the serial engine.
+        """
         return BatchedTrialSession(self, bank, n_trials)
 
 
 class BatchedTrialSession:
-    """One block of measurement trials executing as a single batch.
+    """One block of measurement trials, executed as a single pass.
 
-    The session exposes the same fill/run/peek surface a serial trial
-    uses on :class:`DramBenderHost`, with data carrying an optional
-    leading trials axis.  Use as a context manager::
+    The session has the host's row-access surface — ``fill_row``,
+    ``peek_row``, ``run`` and ``timing`` — with the same bank-first
+    arguments, so an operation step written against
+    :class:`DramBenderHost` runs on a session unchanged.  Row data
+    carries a leading trials axis, and any bank but the session's own
+    is rejected (:class:`~repro.errors.AddressError`).  Use as a context
+    manager::
 
         with host.batched_trials(bank, n) as session:
-            session.fill_row(row, bits)            # same bits, every trial
-            session.fill_row(row, stacked_bits)    # (n, row_bits): per trial
-            session.run(program)                   # one batched execution
-            bits = session.peek_row(row)           # (n, row_bits)
+            session.fill_row(bank, row, bits)          # same bits, every trial
+            session.fill_row(bank, row, stacked_bits)  # (n, row_bits): per trial
+            session.run(program)                       # one pass, n trials
+            bits = session.peek_row(bank, row)         # (n, row_bits)
 
-    On clean exit the block is folded back into the module, leaving the
-    device bit-identical to ``n`` serial trials.  On an exception
-    (injected host timeout, ...) the fold-back is skipped — the module
-    state is stale, exactly like a serial loop aborted mid-trial, and
-    the retry machinery rebuilds the module either way.
+    A block of ``n > 1`` trials runs on the lane-batched engine
+    (:class:`~repro.dram.batch.BatchedBank`); a one-trial block runs on
+    the serial :class:`~repro.dram.bank.Bank` engine, with the same
+    shapes.  On clean exit the block is folded back into the module,
+    leaving the device bit-identical to ``n`` serial trials.  On an
+    exception (injected host timeout, ...) the fold-back is skipped —
+    the module state is stale, exactly like a serial loop aborted
+    mid-trial, and the retry machinery rebuilds the module either way.
     """
 
     def __init__(self, host: DramBenderHost, bank: int, n_trials: int):
@@ -195,26 +191,15 @@ class BatchedTrialSession:
     def timing(self) -> TimingParameters:
         return self.host.timing
 
-    def fill_row(self, row: int, bits: np.ndarray) -> None:
+    def fill_row(self, bank: int, row: int, bits: np.ndarray) -> None:
         """Backdoor fill; ``bits`` is ``(row_bits,)`` or ``(n, row_bits)``."""
-        self.batch.store_bits(row, bits)
-        self.host.executor.note_backdoor_write(self.bank, row, bits=bits)
+        self.batch.store_bits(bank, row, bits)
+        self.host.executor.note_backdoor_write(bank, row, bits=bits)
 
-    def fill_row_voltages(self, row: int, volts: np.ndarray) -> None:
-        self.batch.store_voltages(row, volts)
-        self.host.executor.note_backdoor_write(self.bank, row, voltages=volts)
-
-    def peek_row(self, row: int) -> np.ndarray:
+    def peek_row(self, bank: int, row: int) -> np.ndarray:
         """Backdoor readout for every trial: ``(n_trials, row_bits)``."""
-        bits = self.batch.load_bits(row)
-        faults = self.host.faults
-        if faults is None:
-            return bits
-        filtered = bits.copy()
-        for i, trial in enumerate(self.trial_indices):
-            faults.set_trial(trial)
-            filtered[i] = faults.filter_read(self.bank, row, bits[i])
-        return filtered
+        bits = self.batch.load_bits(bank, row)
+        return self.host.executor.filter_read(bank, row, bits, self.trial_indices)
 
     def run(self, program: TestProgram) -> ExecutionResult:
         """Execute ``program`` once for every trial of the block."""
@@ -234,3 +219,7 @@ class BatchedTrialSession:
         if exc_type is None:
             self.finish()
         return False
+
+
+#: What an operation step runs on: the host, or one of its trial sessions.
+RowAccess = Union[DramBenderHost, BatchedTrialSession]

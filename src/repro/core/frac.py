@@ -11,25 +11,20 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..bender.host import BatchedTrialSession, DramBenderHost
+from ..bender.host import RowAccess
 from .sequences import frac_program
 
-__all__ = ["store_half_vdd", "store_half_vdd_batched", "is_fractional"]
+__all__ = ["store_half_vdd", "is_fractional"]
 
 
-def store_half_vdd(host: DramBenderHost, bank: int, row: int) -> None:
-    """Drive every cell of ``row`` to (approximately) VDD/2."""
-    host.run(frac_program(host.timing, bank, row))
+def store_half_vdd(host: RowAccess, bank: int, row: int) -> None:
+    """Drive every cell of ``row`` to (approximately) VDD/2.
 
-
-def store_half_vdd_batched(session: BatchedTrialSession, row: int) -> None:
-    """Frac ``row`` for every trial of a batched block.
-
-    Each trial draws its own equalizer noise from its per-trial
-    substream, so the fractional voltages match ``n_trials`` serial
-    :func:`store_half_vdd` calls bit-for-bit.
+    ``host`` may be a trial session: each trial then draws its own
+    equalizer noise from its per-trial substream, matching ``n_trials``
+    serial calls bit for bit.
     """
-    session.run(frac_program(session.timing, session.bank, row))
+    host.run(frac_program(host.timing, bank, row))
 
 
 def is_fractional(voltages: np.ndarray, tolerance: float = 0.1) -> np.ndarray:

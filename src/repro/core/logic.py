@@ -20,14 +20,14 @@ functionally-complete set.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
-from ..bender.host import BatchedTrialSession, DramBenderHost
+from ..bender.host import DramBenderHost, RowAccess
 from ..dram.decoder import ActivationKind, ActivationPattern
-from ..errors import AddressError, UnsupportedOperationError
-from .frac import store_half_vdd, store_half_vdd_batched
+from ..errors import UnsupportedOperationError
+from .frac import store_half_vdd
 from .layout import bank_rows, module_shared_columns
 from .sequences import logic_program
 
@@ -139,7 +139,10 @@ class LogicOperation:
 
     # ------------------------------------------------------------------
 
-    def prepare_reference(self) -> None:
+    # Each step runs on ``host``: the operation's host by default, or a
+    # trial session, which runs the step for every trial of its block.
+
+    def prepare_reference(self, host: Optional[RowAccess] = None) -> None:
         """Load the reference subarray for this operation (§6.2 step 1).
 
         N-1 rows get the constant (all-1s for AND/NAND, all-0s for
@@ -147,74 +150,34 @@ class LogicOperation:
         re-done before *every* execution: the operation overwrites the
         reference rows with the complementary result.
         """
+        host = self.host if host is None else host
         base, _side = BASE_OPS[self.op]
         constant = np.ones if base == "and" else np.zeros
         bits = constant(self.host.module.row_bits, dtype=np.uint8)
         for row in self.reference_rows[:-1]:
-            self.host.fill_row(self.bank, row, bits)
-        store_half_vdd(self.host, self.bank, self.reference_rows[-1])
+            host.fill_row(self.bank, row, bits)
+        store_half_vdd(host, self.bank, self.reference_rows[-1])
 
-    def set_operands(self, operands: Sequence[np.ndarray]) -> None:
-        """Store the N input operands into the compute rows (§6.2 step 2)."""
-        if len(operands) != self.n_inputs:
-            raise ValueError(
-                f"expected {self.n_inputs} operands, got {len(operands)}"
-            )
-        for row, bits in zip(self.compute_rows, operands):
-            self.host.fill_row(self.bank, row, np.asarray(bits, dtype=np.uint8))
-
-    def execute(self) -> None:
-        """Issue the reduced-timing double activation (§6.2 step 3)."""
-        self.host.run(
-            logic_program(self.host.timing, self.bank, self.ref_row, self.com_row)
-        )
-
-    # -- batched (trial-axis) variants ---------------------------------
-
-    def _check_session(self, session: BatchedTrialSession) -> None:
-        if session.bank != self.bank:
-            raise AddressError(
-                f"batched session is bound to bank {session.bank}; "
-                f"operation targets bank {self.bank}"
-            )
-
-    def prepare_reference_batched(self, session: BatchedTrialSession) -> None:
-        """Batched :meth:`prepare_reference` for every trial of a block.
-
-        The constant rows are trial-invariant; the Frac row draws its
-        equalizer noise per trial, so each trial's reference voltages
-        match what a serial ``prepare_reference`` would have produced.
-        """
-        self._check_session(session)
-        base, _side = BASE_OPS[self.op]
-        constant = np.ones if base == "and" else np.zeros
-        bits = constant(self.host.module.row_bits, dtype=np.uint8)
-        for row in self.reference_rows[:-1]:
-            session.fill_row(row, bits)
-        store_half_vdd_batched(session, self.reference_rows[-1])
-
-    def set_operands_batched(
-        self, session: BatchedTrialSession, operands: Sequence[np.ndarray]
+    def set_operands(
+        self, operands: Sequence[np.ndarray], host: Optional[RowAccess] = None
     ) -> None:
-        """Batched :meth:`set_operands`.
+        """Store the N input operands into the compute rows (§6.2 step 2).
 
-        Each operand is ``(row_bits,)`` (same bits for every trial) or
-        ``(n_trials, row_bits)`` (per-trial operand draws).
+        On a trial session each operand is ``(row_bits,)`` (same bits
+        for every trial) or ``(n_trials, row_bits)`` (per-trial draws).
         """
-        self._check_session(session)
+        host = self.host if host is None else host
         if len(operands) != self.n_inputs:
             raise ValueError(
                 f"expected {self.n_inputs} operands, got {len(operands)}"
             )
         for row, bits in zip(self.compute_rows, operands):
-            session.fill_row(row, np.asarray(bits, dtype=np.uint8))
+            host.fill_row(self.bank, row, np.asarray(bits, dtype=np.uint8))
 
-    def execute_batched(self, session: BatchedTrialSession) -> None:
-        """Batched :meth:`execute`: one double activation per trial."""
-        self._check_session(session)
-        session.run(
-            logic_program(session.timing, self.bank, self.ref_row, self.com_row)
-        )
+    def execute(self, host: Optional[RowAccess] = None) -> None:
+        """Issue the reduced-timing double activation (§6.2 step 3)."""
+        host = self.host if host is None else host
+        host.run(logic_program(host.timing, self.bank, self.ref_row, self.com_row))
 
     def read_outcome(self) -> LogicOutcome:
         """Read the result from the appropriate terminal's rows."""

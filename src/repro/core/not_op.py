@@ -15,11 +15,11 @@ results land.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 import numpy as np
 
-from ..bender.host import BatchedTrialSession, DramBenderHost
+from ..bender.host import DramBenderHost, RowAccess
 from ..dram.decoder import ActivationPattern
 from ..errors import AddressError
 from .layout import bank_rows, module_shared_columns
@@ -77,22 +77,14 @@ class NotOperation:
         geometry = self.host.module.config.geometry
         return bank_rows(geometry, self.dst_subarray, pattern.rows_last)
 
-    def execute(self) -> None:
-        """Issue the ACT(src) → PRE → ACT(dst) sequence (§5.1)."""
-        self.host.run(
-            not_program(self.host.timing, self.bank, self.src_row, self.dst_row)
-        )
+    def execute(self, host: Optional[RowAccess] = None) -> None:
+        """Issue the ACT(src) → PRE → ACT(dst) sequence (§5.1).
 
-    def execute_batched(self, session: BatchedTrialSession) -> None:
-        """Issue the NOT sequence once per trial of a batched block."""
-        if session.bank != self.bank:
-            raise AddressError(
-                f"batched session is bound to bank {session.bank}; "
-                f"operation targets bank {self.bank}"
-            )
-        session.run(
-            not_program(session.timing, self.bank, self.src_row, self.dst_row)
-        )
+        Runs on ``host`` — the operation's host by default, or a trial
+        session, which issues the sequence once per trial.
+        """
+        host = self.host if host is None else host
+        host.run(not_program(host.timing, self.bank, self.src_row, self.dst_row))
 
     def read_outcome(self) -> NotOutcome:
         """Read every predicted destination row's shared columns."""

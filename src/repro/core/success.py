@@ -146,10 +146,7 @@ class NotSuccessMeasurement:
         counts = np.zeros((len(self.destination_rows), shared.size), dtype=np.int64)
 
         for block in _trial_blocks(trials, batch_trials):
-            if block == 1:
-                self._serial_trial(counts, rng)
-            else:
-                self._batched_block(counts, rng, block)
+            self._run_block(counts, rng, block)
         self.host.end_trials()
 
         return SuccessResult(
@@ -163,34 +160,15 @@ class NotSuccessMeasurement:
             },
         )
 
-    def _serial_trial(self, counts: np.ndarray, rng: np.random.Generator) -> None:
-        """One trial through the per-trial execution path."""
-        host, bank = self.host, self.bank
-        shared = self.operation.shared_columns
-        host.begin_trial(bank)
-        rand2 = host.random_bits(rng)
-        for row in self.source_rows + self.destination_rows:
-            host.fill_row(bank, row, rand2)
-        rand1 = host.random_bits(rng)
-        host.fill_row(bank, self.operation.src_row, rand1)
-        expected = 1 - rand1[shared]
-
-        self.operation.execute()
-
-        for i, row in enumerate(self.destination_rows):
-            bits = host.peek_row(bank, row)
-            counts[i] += bits[shared] == expected
-
-    def _batched_block(
+    def _run_block(
         self, counts: np.ndarray, rng: np.random.Generator, block: int
     ) -> None:
-        """One block of trials through the batched execution path."""
-        host = self.host
+        """One block of trials, run as one trial session."""
+        host, bank = self.host, self.bank
         shared = self.operation.shared_columns
         width = host.module.row_bits
-        # Consume the measurement RNG in the exact order of the serial
-        # loop — RAND2 then RAND1, per trial — so both paths see the
-        # same patterns.
+        # Consume the measurement RNG in per-trial order — RAND2 then
+        # RAND1 — so every block size sees the same patterns.
         rand2 = np.empty((block, width), dtype=np.uint8)
         rand1 = np.empty((block, width), dtype=np.uint8)
         for t in range(block):
@@ -198,15 +176,15 @@ class NotSuccessMeasurement:
             rand1[t] = host.random_bits(rng)
         expected = 1 - rand1[:, shared]
 
-        with host.batched_trials(self.bank, block) as session:
+        with host.batched_trials(bank, block) as session:
             for row in self.source_rows + self.destination_rows:
-                session.fill_row(row, rand2)
-            session.fill_row(self.operation.src_row, rand1)
+                session.fill_row(bank, row, rand2)
+            session.fill_row(bank, self.operation.src_row, rand1)
 
-            self.operation.execute_batched(session)
+            self.operation.execute(session)
 
             for i, row in enumerate(self.destination_rows):
-                bits = session.peek_row(row)
+                bits = session.peek_row(bank, row)
                 counts[i] += np.sum(bits[:, shared] == expected, axis=0)
 
 
@@ -303,12 +281,7 @@ class LogicSuccessMeasurement:
         ref_counts = np.zeros((len(operation.reference_rows), shared.size), np.int64)
 
         for block in _trial_blocks(trials, batch_trials):
-            if block == 1:
-                self._serial_trial(com_counts, ref_counts, rng, mode, ones_count)
-            else:
-                self._batched_block(
-                    com_counts, ref_counts, rng, block, mode, ones_count
-                )
+            self._run_block(com_counts, ref_counts, rng, block, mode, ones_count)
         self.host.end_trials()
 
         base_meta = {
@@ -328,34 +301,7 @@ class LogicSuccessMeasurement:
             ),
         )
 
-    def _serial_trial(
-        self,
-        com_counts: np.ndarray,
-        ref_counts: np.ndarray,
-        rng: np.random.Generator,
-        mode: str,
-        ones_count: Optional[int],
-    ) -> None:
-        """One trial through the per-trial execution path."""
-        host, bank = self.host, self.bank
-        operation = self.operation
-        shared = operation.shared_columns
-        host.begin_trial(bank)
-        operands = self._draw_operands(rng, mode, ones_count)
-        operation.prepare_reference()
-        operation.set_operands(operands)
-        operation.execute()
-
-        expected = ideal_output(self.base_op, [bits[shared] for bits in operands])
-        for i, row in enumerate(operation.compute_rows):
-            bits = host.peek_row(bank, row)
-            com_counts[i] += bits[shared] == expected
-        complement = 1 - expected
-        for i, row in enumerate(operation.reference_rows):
-            bits = host.peek_row(bank, row)
-            ref_counts[i] += bits[shared] == complement
-
-    def _batched_block(
+    def _run_block(
         self,
         com_counts: np.ndarray,
         ref_counts: np.ndarray,
@@ -364,12 +310,12 @@ class LogicSuccessMeasurement:
         mode: str,
         ones_count: Optional[int],
     ) -> None:
-        """One block of trials through the batched execution path."""
-        host = self.host
+        """One block of trials, run as one trial session."""
+        host, bank = self.host, self.bank
         operation = self.operation
         shared = operation.shared_columns
-        # Consume the measurement RNG in the exact per-trial order of the
-        # serial loop (and keep its eager mode/ones_count validation).
+        # Consume the measurement RNG in per-trial order, so every block
+        # size sees the same operands.
         per_trial = [
             self._draw_operands(rng, mode, ones_count) for _ in range(block)
         ]
@@ -384,15 +330,15 @@ class LogicSuccessMeasurement:
             ]
         )
 
-        with host.batched_trials(self.bank, block) as session:
-            operation.prepare_reference_batched(session)
-            operation.set_operands_batched(session, operands)
-            operation.execute_batched(session)
+        with host.batched_trials(bank, block) as session:
+            operation.prepare_reference(session)
+            operation.set_operands(operands, session)
+            operation.execute(session)
 
             for i, row in enumerate(operation.compute_rows):
-                bits = session.peek_row(row)
+                bits = session.peek_row(bank, row)
                 com_counts[i] += np.sum(bits[:, shared] == expected, axis=0)
             complement = 1 - expected
             for i, row in enumerate(operation.reference_rows):
-                bits = session.peek_row(row)
+                bits = session.peek_row(bank, row)
                 ref_counts[i] += np.sum(bits[:, shared] == complement, axis=0)

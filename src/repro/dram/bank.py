@@ -395,11 +395,11 @@ class Bank:
     #
     # Measurements consume analog noise from counter-based per-(bank,
     # trial) substreams: trial ``i`` draws from the generator of seed
-    # child ``trial-noise/trial-{i}``, regardless of whether the trials
-    # run one at a time (``begin_trial``) or as one batched block
-    # (``reserve_trial_block``).  This is what makes the batched engine
-    # bit-identical to the serial path: both consume exactly the same
-    # numbers from exactly the same streams.  Code that never calls
+    # child ``trial-noise/trial-{i}``, whether a block of trials runs on
+    # the batched engine or — a one-trial block — on this bank itself
+    # (``reserve_trial_block`` either way).  This is what makes the
+    # batched engine bit-identical to the serial path: both consume
+    # exactly the same numbers from exactly the same streams.  Code that never calls
     # these (hammer sweeps, reverse engineering, ad-hoc programs) keeps
     # drawing from the undisturbed ``trial-noise`` root stream.
 
@@ -408,27 +408,14 @@ class Bank:
             raise ValueError(f"trial index must be non-negative, got {index}")
         return self._noise_tree.child(f"trial-{index}").generator()
 
-    def begin_trial(self) -> int:
-        """Switch the noise stream to the next per-trial substream.
-
-        Returns the trial index that was assigned.  Serial measurement
-        loops call this once per trial; the batched engine reserves the
-        same indices via :meth:`reserve_trial_block`, so interleaving
-        serial and batched blocks keeps the streams aligned.
-        """
-        index = self._trial_counter
-        self._trial_counter += 1
-        self._rng = self._trial_generator(index)
-        return index
-
     def reserve_trial_block(
         self, n_trials: int
     ) -> Tuple[int, List[np.random.Generator]]:
         """Reserve ``n_trials`` consecutive trial substreams.
 
         Returns ``(first_index, generators)``.  The bank's own stream is
-        left positioned on the *last* trial's generator — exactly where
-        ``n_trials`` successive :meth:`begin_trial` calls would leave it.
+        left positioned on the *last* trial's generator, so a one-trial
+        block runs on this bank with the trial's noise.
         """
         if n_trials < 1:
             raise ValueError(f"n_trials must be >= 1, got {n_trials}")

@@ -12,9 +12,8 @@ two mechanisms:
 
 * **Per-trial noise substreams.**  Trial ``i`` draws its analog noise
   from the counter-based substream ``trial-noise/trial-{i}`` of the
-  bank's seed tree (see :meth:`Bank.begin_trial` /
-  :meth:`Bank.reserve_trial_block`), so the batched engine and the
-  serial loop consume exactly the same numbers from exactly the same
+  bank's seed tree (see :meth:`Bank.reserve_trial_block`), so the
+  batched engine and the serial loop consume exactly the same numbers from exactly the same
   streams, in the same per-trial order.
 
 * **Lanes.**  The command stream is identical across trials; the only
@@ -47,7 +46,7 @@ import numpy as np
 from numpy.typing import NDArray
 from scipy.special import ndtr  # type: ignore[import-untyped]
 
-from ..errors import CommandSequenceError, UnsupportedOperationError
+from ..errors import AddressError, CommandSequenceError, UnsupportedOperationError
 from ..units import GND, VDD, VDD_HALF
 from .analog import charge_share, coupling_disturbance, sense_differential
 from .bank import SENSE_LATENCY_NS, Bank, _OpenState
@@ -728,11 +727,21 @@ class BatchedBank:
 
 
 class BatchedModule:
-    """Fans a batched trial block out across a module's lock-step chips.
+    """Fans a trial block out across a module's lock-step chips.
+
+    Takes the same ``(bank, row, ...)`` arguments as
+    :class:`~repro.dram.module.Module` and rejects any bank but the
+    block's own (:class:`~repro.errors.AddressError`).  Row data carries
+    the leading trials axis: ``(row_bits,)`` (same data, every trial) or
+    ``(n_trials, row_bits)`` in, ``(n_trials, row_bits)`` out.
 
     Reserves one trial-index block per chip (all chips must agree — they
     share the command bus) and stripes row data across per-chip column
-    segments exactly like :class:`~repro.dram.module.Module`.
+    segments exactly like :class:`~repro.dram.module.Module`.  A
+    one-trial block runs on the serial :class:`~repro.dram.bank.Bank`
+    engine itself (the lanes are slower at ``n=1``): reserving the
+    trial already switched each bank's noise stream to the trial's
+    substream.
     """
 
     def __init__(self, module: Module, bank: int, n_trials: int):
@@ -744,8 +753,10 @@ class BatchedModule:
         self.n_trials = n_trials
         #: Absolute trial indices of this block (for fault injection).
         self.trial_indices = range(start, start + n_trials)
-        self.banks: List[BatchedBank] = [
-            BatchedBank(chip.bank(bank), generators)
+        self.banks: List[Union[Bank, BatchedBank]] = [
+            chip.bank(bank)
+            if n_trials == 1
+            else BatchedBank(chip.bank(bank), generators)
             for chip, generators in zip(module.chips, per_chip_generators)
         ]
 
@@ -753,50 +764,67 @@ class BatchedModule:
     def row_bits(self) -> int:
         return self.module.row_bits
 
-    def activate(self, row: int, time_ns: float) -> None:
-        for bank in self.banks:
-            bank.activate(row, time_ns)
+    def activate(self, bank: int, row: int, time_ns: float) -> None:
+        for chip_bank in self._banks(bank):
+            chip_bank.activate(row, time_ns)
 
-    def precharge(self, time_ns: float) -> None:
-        for bank in self.banks:
-            bank.precharge(time_ns)
+    def precharge(self, bank: int, time_ns: float) -> None:
+        for chip_bank in self._banks(bank):
+            chip_bank.precharge(time_ns)
 
-    def settle(self, time_ns: float) -> None:
-        for bank in self.banks:
-            bank.settle(time_ns)
+    def settle(self, bank: int, time_ns: float) -> None:
+        for chip_bank in self._banks(bank):
+            chip_bank.settle(time_ns)
 
-    def refresh(self, time_ns: float) -> None:
-        for bank in self.banks:
-            bank.refresh(time_ns)
+    def refresh(self, bank: int, time_ns: float) -> None:
+        for chip_bank in self._banks(bank):
+            chip_bank.refresh(time_ns)
 
-    def write(self, row: int, bits: Any, time_ns: float) -> None:
+    def write(self, bank: int, row: int, bits: Any, time_ns: float) -> None:
         data = self._check_module_bits(bits, "WR pattern")
-        for i, bank in enumerate(self.banks):
-            bank.write(row, data[..., self.module.chip_slice(i)], time_ns)
+        for i, chip_bank in enumerate(self._banks(bank)):
+            chip_bank.write(row, data[..., self.module.chip_slice(i)], time_ns)
 
-    def read(self, row: int, time_ns: float) -> NDArray[np.uint8]:
-        parts = [bank.read(row, time_ns) for bank in self.banks]
-        return np.concatenate(parts, axis=1)
+    def read(self, bank: int, row: int, time_ns: float) -> NDArray[np.uint8]:
+        return self._gather(
+            [chip_bank.read(row, time_ns) for chip_bank in self._banks(bank)]
+        )
 
-    def store_bits(self, row: int, bits: Any) -> None:
+    def store_bits(self, bank: int, row: int, bits: Any) -> None:
         data = self._check_module_bits(bits, "bits")
-        for i, bank in enumerate(self.banks):
-            bank.store_bits(row, data[..., self.module.chip_slice(i)])
+        for i, chip_bank in enumerate(self._banks(bank)):
+            chip_bank.store_bits(row, data[..., self.module.chip_slice(i)])
 
-    def store_voltages(self, row: int, volts: Any) -> None:
+    def store_voltages(self, bank: int, row: int, volts: Any) -> None:
         data = self._check_module_bits(
             np.asarray(volts, dtype=np.float64), "voltages"
         )
-        for i, bank in enumerate(self.banks):
-            bank.store_voltages(row, data[..., self.module.chip_slice(i)])
+        for i, chip_bank in enumerate(self._banks(bank)):
+            chip_bank.store_voltages(row, data[..., self.module.chip_slice(i)])
 
-    def load_bits(self, row: int) -> NDArray[np.uint8]:
-        parts = [bank.load_bits(row) for bank in self.banks]
-        return np.concatenate(parts, axis=1)
+    def load_bits(self, bank: int, row: int) -> NDArray[np.uint8]:
+        return self._gather(
+            [chip_bank.load_bits(row) for chip_bank in self._banks(bank)]
+        )
 
     def finalize(self) -> None:
-        for bank in self.banks:
-            bank.finalize()
+        for chip_bank in self.banks:
+            if isinstance(chip_bank, BatchedBank):
+                chip_bank.finalize()
+
+    def _banks(self, bank: int) -> List[Union[Bank, BatchedBank]]:
+        if bank != self.bank_index:
+            raise AddressError(
+                f"trial block is bound to bank {self.bank_index}; "
+                f"got bank {bank}"
+            )
+        return self.banks
+
+    def _gather(self, parts: Sequence[NDArray[Any]]) -> NDArray[np.uint8]:
+        """Concatenate per-chip rows into ``(n_trials, row_bits)``."""
+        return np.concatenate(parts, axis=-1).reshape(
+            self.n_trials, self.row_bits
+        )
 
     def _check_module_bits(self, values: Any, what: str) -> NDArray[Any]:
         a = np.asarray(values)
@@ -807,4 +835,5 @@ class BatchedModule:
                 f"{what} must have shape {expected} or {expected_batched}, "
                 f"got {a.shape}"
             )
-        return a
+        # The serial engine of a one-trial block takes plain rows.
+        return a.reshape(expected) if self.n_trials == 1 else a

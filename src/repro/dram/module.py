@@ -172,15 +172,6 @@ class Module:
 
     # -- trial-noise substreams (lock-step across chips) -----------------
 
-    def begin_trial(self, bank: int) -> int:
-        """Advance every chip's bank to the next per-trial noise stream."""
-        indices = {chip.bank(bank).begin_trial() for chip in self.chips}
-        if len(indices) != 1:
-            raise ConfigurationError(
-                f"chips of bank {bank} disagree on the trial index: {indices}"
-            )
-        return indices.pop()
-
     def reserve_trial_block(
         self, bank: int, n_trials: int
     ) -> "Tuple[int, List[List[np.random.Generator]]]":

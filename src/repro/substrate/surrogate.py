@@ -110,14 +110,14 @@ class TableCell:
 
     def probability_at(self, temperature_c: float) -> float:
         """Linear interpolation over the fitted temperature grid, clamped
-        at both ends."""
+        at both ends and to the range of the fitted values (rounding in
+        the interpolation can land one ulp outside it)."""
         if not self.probabilities:
             raise SurrogateTableError("cell has no fitted temperatures")
         temps = sorted(self.probabilities)
         values = [self.probabilities[t] for t in temps]
-        return float(
-            np.interp(float(temperature_c), temps, values)
-        )
+        value = float(np.interp(float(temperature_c), temps, values))
+        return min(max(value, min(values)), max(values))
 
 
 Key = Tuple[str, str, int, str, str]

@@ -759,27 +759,31 @@ class PudRuntime:
         return scheme
 
     def and_(self, *handles: VectorHandle) -> VectorHandle:
-        return self._logic_apply("and", self._colocate(handles))
+        return self._colocated_apply("and", handles)
 
     def or_(self, *handles: VectorHandle) -> VectorHandle:
-        return self._logic_apply("or", self._colocate(handles))
+        return self._colocated_apply("or", handles)
 
     def nand(self, *handles: VectorHandle) -> VectorHandle:
-        return self._logic_apply("nand", self._colocate(handles))
+        return self._colocated_apply("nand", handles)
 
     def nor(self, *handles: VectorHandle) -> VectorHandle:
-        return self._logic_apply("nor", self._colocate(handles))
+        return self._colocated_apply("nor", handles)
 
     def xor(self, a: VectorHandle, b: VectorHandle) -> VectorHandle:
         """XOR = AND(OR(a, b), NAND(a, b)), all in DRAM."""
-        a, b = self._colocate((a, b))
-        either = self.or_(a, b)
-        not_both = self.nand(a, b)
-        not_both = self.move(not_both, either.side)
-        result = self.and_(either, not_both)
-        self.free(either)
-        self.free(not_both)
-        return result
+        operands = self._colocate((a, b))
+        scratch: List[VectorHandle] = []
+        try:
+            either = self.or_(*operands)
+            scratch.append(either)
+            not_both = self.nand(*operands)
+            scratch.append(not_both)
+            not_both = self.move(not_both, either.side)
+            scratch.append(not_both)
+            return self.and_(either, not_both)
+        finally:
+            self._free_copies(scratch + operands, (a, b))
 
     # ------------------------------------------------------------------
     # verified job submission
@@ -861,7 +865,7 @@ class PudRuntime:
                             f"quarantined {newly_quarantined or 'none'}"
                         ) from None
                     current_side = sides_left.pop()
-                    handles = [self.move(h, current_side) for h in handles]
+                    self._move_all(handles, current_side)
                     continue
                 attempts += 1
                 out = self._logic_apply(op, handles, block=block)
@@ -1021,9 +1025,7 @@ class PudRuntime:
                     self.stats.mitigation_fallbacks += 1
                     continue
                 if block_side != current_side:
-                    handles = [
-                        self.move(handle, block_side) for handle in handles
-                    ]
+                    self._move_all(handles, block_side)
                     current_side = block_side
                 scheme = scheme.capped_to_rows(n)
                 out = self._mitigated_logic_apply(
@@ -1064,15 +1066,48 @@ class PudRuntime:
     def _colocate(
         self, handles: Sequence[VectorHandle]
     ) -> List[VectorHandle]:
-        """Move operands onto one side (majority side wins)."""
+        """Move operands onto one side (majority side wins).
+
+        Returns the operands on that side; the caller owns — and must
+        free — every returned handle that is not one of ``handles``.
+        """
         if len(handles) < 2:
             raise ReproError("logic operations need at least 2 operands")
         sides = [h.side for h in handles]
         target = max(set(sides), key=sides.count)
-        moved = []
-        for handle in handles:
-            if handle.side == target:
-                moved.append(handle)
-            else:
+        moved: List[VectorHandle] = []
+        try:
+            for handle in handles:
                 moved.append(self.move(handle, target))
+        except BaseException:
+            self._free_copies(moved, handles)
+            raise
         return moved
+
+    def _colocated_apply(
+        self, op: str, handles: Sequence[VectorHandle]
+    ) -> VectorHandle:
+        operands = self._colocate(handles)
+        try:
+            return self._logic_apply(op, operands)
+        finally:
+            self._free_copies(operands, handles)
+
+    def _free_copies(
+        self,
+        handles: Iterable[VectorHandle],
+        originals: Iterable[VectorHandle],
+    ) -> None:
+        """Free each handle of ``handles`` (once) not among ``originals``."""
+        keep = set(originals)
+        for handle in dict.fromkeys(handles):
+            if handle not in keep:
+                self.free(handle)
+
+    def _move_all(self, handles: List[VectorHandle], side: int) -> None:
+        """Move every handle of ``handles`` to ``side`` in place, freeing
+        the slot each one moved from."""
+        for index, handle in enumerate(handles):
+            handles[index] = self.move(handle, side)
+            if handles[index] is not handle:
+                self.free(handle)

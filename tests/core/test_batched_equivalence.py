@@ -23,6 +23,7 @@ from repro.characterization.runner import (
     materialize_targets,
 )
 from repro.core.success import DEFAULT_TRIAL_BLOCK, _trial_blocks
+from repro.errors import AddressError
 from repro.faults import FaultPlan
 
 #: Engines under test: serial, auto-batched, and a block size that does
@@ -140,6 +141,29 @@ class TestLogicEquivalence:
         batched = run(0)
         assert np.array_equal(serial[0], batched[0])
         assert np.array_equal(serial[1], batched[1])
+
+
+class TestSessionBank:
+    @pytest.mark.parametrize("n_trials", [1, 4])
+    @pytest.mark.parametrize("access", ["fill_row", "peek_row", "run"])
+    def test_other_bank_rejected(self, ideal_host, n_trials, access):
+        # One-trial blocks run on the serial engine, larger ones on the
+        # lanes; both are bound to the session's bank.
+        timing = ideal_host.timing
+        bits = np.zeros(ideal_host.module.row_bits, dtype=np.uint8)
+        program = (
+            ideal_host.new_program("other-bank")
+            .act(1, 0, wait_ns=timing.t_ras)
+            .pre(1, wait_ns=timing.t_rp)
+        )
+        calls = {
+            "fill_row": lambda session: session.fill_row(1, 0, bits),
+            "peek_row": lambda session: session.peek_row(1, 0),
+            "run": lambda session: session.run(program),
+        }
+        with ideal_host.batched_trials(0, n_trials) as session:
+            with pytest.raises(AddressError, match="bound to bank 0"):
+                calls[access](session)
 
 
 class TestSweepEquivalence:

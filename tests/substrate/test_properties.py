@@ -18,7 +18,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -49,6 +49,10 @@ temperature_grids = st.dictionaries(
 class TestTableCellInterpolation:
     @settings(max_examples=100, deadline=None)
     @given(grid=temperature_grids, query=temperatures)
+    @example(
+        grid={-1.0: 1.0, 7.0142724791101886e-74: 0.14702822288240605},
+        query=0.0,
+    )
     def test_interpolation_is_bounded_by_fitted_values(self, grid, query):
         value = TableCell(probabilities=grid).probability_at(query)
         assert min(grid.values()) <= value <= max(grid.values())

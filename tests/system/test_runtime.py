@@ -350,6 +350,43 @@ class TestQuarantine:
         assert runtime.free_slots() == before
 
 
+class TestSlotLeaks:
+    """Once the client frees every handle it received, every slot the
+    runtime used internally is back in the pools."""
+
+    def test_xor(self, runtime):
+        before = runtime.free_slots()
+        a_bits, b_bits = vectors(runtime, 2, seed=50)
+        a, b = runtime.store(a_bits), runtime.store(b_bits)
+        result = runtime.xor(a, b)
+        assert np.array_equal(runtime.load(result), a_bits ^ b_bits)
+        for handle in (a, b, result):
+            runtime.free(handle)
+        assert runtime.free_slots() == before
+
+    def test_and_with_operand_on_other_side(self, runtime):
+        before = runtime.free_slots()
+        bits = vectors(runtime, 3, seed=51)
+        handles = [
+            runtime.store(bits[0], side=1),
+            runtime.store(bits[1], side=1),
+            runtime.store(bits[2], side=0),
+        ]
+        result = runtime.and_(*handles)
+        assert np.array_equal(runtime.load(result), bits[0] & bits[1] & bits[2])
+        for handle in handles + [result]:
+            runtime.free(handle)
+        assert runtime.free_slots() == before
+
+    def test_submit_job_side_switch(self, runtime):
+        for n in (2, 4, 8, 16):
+            runtime.quarantine_block(1, n)
+        before = runtime.free_slots()
+        result = runtime.submit_job("and", vectors(runtime, 2, seed=52), side=1)
+        assert result.block[0] == 0
+        assert runtime.free_slots() == before
+
+
 class TestRealChip:
     def test_runtime_works_on_calibrated_die(self, real_host):
         runtime = PudRuntime(real_host, bank=0, subarray_pair=(0, 1))
