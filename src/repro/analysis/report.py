@@ -163,12 +163,12 @@ def generate_report(
         "## Batched execution",
         "",
         "Within each worker, trials execute in blocks through one code",
-        "path: a block of more than one trial evaluates on the",
-        "lane-batched engine as one vectorized pass over a leading NumPy",
-        "trials axis, and a one-trial block runs on the serial bank",
-        "engine.  `--batch-trials` selects the block size (`0`, the",
+        "path and one bank state machine: a block of more than one trial",
+        "evaluates as one vectorized pass over a leading NumPy trials",
+        "axis, and a one-trial block runs the same engine on the bank's",
+        "own rows.  `--batch-trials` selects the block size (`0`, the",
         "default, batches blocks of up to 1024 trials; `1` runs every",
-        "trial on the serial engine; `k > 1` caps block size at `k`).",
+        "trial as its own block; `k > 1` caps block size at `k`).",
         "The engine is an",
         "execution detail, not a measurement parameter: every success",
         "count below is bit-identical for any setting — including under",
@@ -288,7 +288,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         type=int,
         default=0,
         help="trial execution engine: 0 (default) = batched blocks, "
-        "1 = serial per-trial path, k>1 caps the block size; the report "
+        "1 = one trial per block, k>1 caps the block size; the report "
         "content is bit-identical at any setting",
     )
     parser.add_argument(

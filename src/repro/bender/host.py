@@ -146,7 +146,7 @@ class DramBenderHost:
     def batched_trials(self, bank: int, n_trials: int) -> "BatchedTrialSession":
         """Open a block of ``n_trials`` trials against ``bank``.
 
-        A one-trial block runs on the serial engine.
+        A one-trial block runs the bank state machine on the bank itself.
         """
         return BatchedTrialSession(self, bank, n_trials)
 
@@ -168,13 +168,15 @@ class BatchedTrialSession:
             session.run(program)                       # one pass, n trials
             bits = session.peek_row(bank, row)         # (n, row_bits)
 
-    A block of ``n > 1`` trials runs on the lane-batched engine
-    (:class:`~repro.dram.batch.BatchedBank`); a one-trial block runs on
-    the serial :class:`~repro.dram.bank.Bank` engine, with the same
+    There is one bank state machine
+    (:class:`~repro.dram.batch.LaneEngine`).  A block of ``n > 1``
+    trials runs it on sparse per-trial overlays
+    (:class:`~repro.dram.batch.BatchedBank`); a one-trial block runs it
+    on the :class:`~repro.dram.bank.Bank`'s own rows, with the same
     shapes.  On clean exit the block is folded back into the module,
-    leaving the device bit-identical to ``n`` serial trials.  On an
+    leaving the device bit-identical to ``n`` one-trial blocks.  On an
     exception (injected host timeout, ...) the fold-back is skipped —
-    the module state is stale, exactly like a serial loop aborted
+    the module state is stale, exactly like a per-trial loop aborted
     mid-trial, and the retry machinery rebuilds the module either way.
     """
 

@@ -13,12 +13,14 @@ binomial with 600 trials already pins a ~95% rate to about plus/minus
 >>> (SMOKE.trials, DEFAULT.trials, FULL.trials)
 (40, 150, 600)
 
-Both measurements execute trials through a batched trial-axis engine by
-default: a whole block of trials runs as one NumPy evaluation with a
-leading trials axis, bit-identical to the serial per-trial loop (each
-trial draws analog noise and fault rolls from its own substream, so the
-execution mode cannot change any measured count).  ``batch_trials=1``
-recovers the serial path; any larger value caps the block size.
+Both measurements execute trials in blocks by default: a whole block of
+trials runs as one NumPy evaluation with a leading trials axis,
+bit-identical to running its trials one at a time (each trial draws
+analog noise and fault rolls from its own substream, so the block size
+cannot change any measured count).  There is one bank state machine; a
+one-trial block runs it on the bank's own rows.  ``batch_trials=1``
+runs every trial as its own block; any larger value caps the block
+size.
 """
 
 from __future__ import annotations
@@ -51,8 +53,8 @@ def _trial_blocks(trials: int, batch_trials: int) -> List[int]:
     """Split ``trials`` into execution block sizes.
 
     ``batch_trials`` selects the engine: ``0`` (the default) batches in
-    blocks of up to :data:`DEFAULT_TRIAL_BLOCK`; ``1`` recovers the
-    serial per-trial path; ``k > 1`` batches in blocks of ``k``.
+    blocks of up to :data:`DEFAULT_TRIAL_BLOCK`; ``1`` runs one trial
+    per block; ``k > 1`` batches in blocks of ``k``.
 
     >>> _trial_blocks(5, 2)
     [2, 2, 1]

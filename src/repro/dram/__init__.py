@@ -6,8 +6,10 @@ Layering, bottom-up:
 * :mod:`repro.dram.variation` — process and design-induced variation
 * :mod:`repro.dram.calibration` — per-die model constants
 * :mod:`repro.dram.decoder` — multi-row activation patterns (§4)
+* :mod:`repro.dram.batch` — the bank state machine, over one trial or a
+  block of trials
 * :mod:`repro.dram.subarray` / :mod:`repro.dram.bank` — cell state and
-  the activation engine
+  the bank
 * :mod:`repro.dram.chip` / :mod:`repro.dram.module` — chip and lock-step
   module assemblies
 """

@@ -1,7 +1,7 @@
 """Analog circuit behavior: charge sharing and sense amplification.
 
 These are pure functions over numpy arrays — the stateful orchestration
-lives in :mod:`repro.dram.bank`.  The math follows the paper's §6.1 model
+lives in :mod:`repro.dram.batch`.  The math follows the paper's §6.1 model
 (Fig. 13/14) generalized to a finite bitline capacitance:
 
     V_bitline = (C_b * V_pre + C_c * sum_i d_i * v_i) / (C_b + C_c * sum_i d_i)
@@ -348,8 +348,9 @@ def sense_differential(
     batched evaluation over a leading trials axis, a sequence of
     per-trial generators (one per row of the 2-D terminal arrays).  In
     the batched form trial ``i``'s noise is drawn from ``rng[i]`` with
-    the same shape and in the same order as a serial per-trial call, so
-    both paths consume identical numbers from identical streams.
+    the same shape and in the same order as a one-trial call, so a block
+    and its trials run one at a time consume identical numbers from
+    identical streams.
 
     The effective comparison is ``v_positive - v_negative + margin_shift
     + offsets + noise > 0`` with the per-trial noise standard deviation

@@ -1,7 +1,7 @@
 """Static verifier for DRAM Bender test programs.
 
 Walks a :class:`~repro.bender.program.TestProgram` against a *static
-mirror* of the bank state machine in :mod:`repro.dram.bank` — per-bank
+mirror* of the bank state machine in :mod:`repro.dram.batch` — per-bank
 open/pending-precharge state, the sharing/latched sense phase, and the
 decoder-predicted multi-row activation sets — and classifies every
 ``ACT → PRE → ACT`` gap as nominal or as one of the paper's intentional
@@ -58,21 +58,6 @@ _EPS = 1e-9
 #: ``emit(rule_id, command_index, message, severity=None)``.
 _Emit = Callable[..., None]
 
-#: Idioms a glitch or a completed activation episode can classify as.
-IDIOMS = (
-    "nominal",
-    "frac",
-    "not",
-    "rowclone",
-    "logic",
-    "isolated",
-    "ignored",
-)
-
-#: Intents a program may declare (TestProgram(intent=...)).
-KNOWN_INTENTS = ("not", "rowclone", "logic", "frac", "nominal")
-
-
 @dataclass(frozen=True)
 class GapClassification:
     """Classification of one activation episode.
@@ -127,7 +112,7 @@ class ProgramReport:
 
 @dataclass
 class _OpenModel:
-    """Static mirror of :class:`repro.dram.bank._OpenState`."""
+    """Static mirror of :class:`repro.dram.batch._OpenState`."""
 
     rows: Dict[int, Tuple[int, ...]]
     first_subarray: int
@@ -405,7 +390,7 @@ class ProgramVerifier:
             )
         return ok
 
-    # -- bank-model transitions (mirror repro.dram.bank.Bank) -----------
+    # -- bank-model transitions (mirror repro.dram.batch.LaneEngine) -----
 
     def _pre_due(
         self, open_: _OpenModel, timing: TimingParameters, time_ns: float
@@ -644,7 +629,7 @@ class ProgramVerifier:
                     violates_t_rp=True,
                 )
             )
-            # Mirror Bank._abort_to_fresh: only the last ACT takes effect.
+            # Mirror the engine's aborted glitch: only the last ACT takes effect.
             bankm.open = None
             if self.observer is not None:
                 self.observer.on_abort(bank)

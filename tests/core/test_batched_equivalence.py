@@ -8,9 +8,14 @@ operation family: NOT, and AND/NAND plus OR/NOR (each logic measurement
 yields both terminals).
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from repro import SeedTree, micron_chip, samsung_chip, sk_hynix_chip
 from repro.characterization import Resilience, RetryPolicy, run_experiment
 from repro.characterization.runner import (
     DEFAULT,
@@ -23,8 +28,16 @@ from repro.characterization.runner import (
     materialize_targets,
 )
 from repro.core.success import DEFAULT_TRIAL_BLOCK, _trial_blocks
+from repro.dram.batch import BatchedBank
+from repro.dram.calibration import calibration_for
+from repro.dram.module import Module
 from repro.errors import AddressError
 from repro.faults import FaultPlan
+
+# The random ACT/PRE/WR/RD/NOP streams of the bank property tests, on
+# their 2-subarray x 96-row x 32-column geometry.
+from dram.test_bank_properties import GEOMETRY as STREAM_GEOMETRY
+from dram.test_bank_properties import streams
 
 #: Engines under test: serial, auto-batched, and a block size that does
 #: not divide the trial count (forces a ragged final block).
@@ -269,3 +282,145 @@ class TestScalePresets:
         assert SMOKE.batch_trials == 0
         assert DEFAULT.batch_trials == 0
         assert FULL.batch_trials == 0
+
+
+#: ACT -> PRE -> ACT -> RD episodes with tight gaps: the random streams
+#: above rarely glitch (most end early on a protocol error), these glitch
+#: on most examples, in both the NOT and the logic-op regimes.
+glitch_streams = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=191),
+        st.integers(min_value=0, max_value=191),
+        st.integers(min_value=1, max_value=40),
+        st.integers(min_value=1, max_value=12),
+    ).map(
+        lambda t: [
+            ("act", t[0], t[2]),
+            ("pre", 0, t[3]),
+            ("act", t[1], 30),
+            ("rd", t[1], 1),
+            ("pre", 0, 30),
+        ]
+    ),
+    min_size=1,
+    max_size=4,
+).map(lambda episodes: [command for episode in episodes for command in episode])
+
+
+def _stream_bank(config_factory, coin_flip):
+    config = config_factory().with_geometry(STREAM_GEOMETRY)
+    calibration = calibration_for(config)
+    if coin_flip:
+        # Glitches engage on a coin flip, so blocks split into lanes
+        # (the calibrated dies engage >98% of the time).
+        calibration = replace(
+            calibration,
+            op_engage_probability={2: 0.5},
+            not_engage_probability=0.5,
+        )
+    module = Module(
+        config, chip_count=1, seed_tree=SeedTree(5), calibration=calibration
+    )
+    return module.chips[0].bank(0)
+
+
+def _replay(bank, stream, rows, wr_data):
+    """Fill every row, replay ``stream``, close the bank.
+
+    ``rows`` holds each row's initial bits and ``wr_data`` one WR pattern
+    per command (both with a leading trials axis on a block).  Returns
+    the RD data per command index and the first error as ``(command
+    index, exception type)``, or ``None`` when the stream ran through
+    and the trailing tRAS wait plus PRE closed the bank.
+    """
+    for row in range(STREAM_GEOMETRY.rows_per_bank):
+        bank.store_bits(row, rows[..., row, :])
+    t_ck = bank.timing.t_ck
+    time_ns = 0.0
+    reads = {}
+    for index, (kind, row, gap) in enumerate(stream):
+        try:
+            if kind == "act":
+                bank.activate(row, time_ns)
+            elif kind == "pre":
+                bank.precharge(time_ns)
+            elif kind == "wr":
+                bank.write(row, wr_data[..., index, :], time_ns)
+            elif kind == "rd":
+                reads[index] = bank.read(row, time_ns)
+        except Exception as error:
+            return reads, (index, type(error))
+        time_ns += gap * t_ck
+    time_ns += bank.timing.t_ras
+    bank.precharge(time_ns)
+    bank.settle(time_ns + bank.timing.t_rp)
+    return reads, None
+
+
+@pytest.mark.parametrize("coin_flip", [False, True])
+@pytest.mark.parametrize(
+    "config_factory", [sk_hynix_chip, samsung_chip, micron_chip]
+)
+class TestBlockMatchesOneTrialBlocks:
+    """A block of k trials equals its trials run as k one-trial blocks,
+    on arbitrary command streams (hostile timing included)."""
+
+    @given(
+        stream=st.one_of(streams, glitch_streams),
+        k=st.sampled_from([2, 3]),
+        data_seed=st.integers(min_value=0, max_value=2**16),
+    )
+    @settings(
+        max_examples=30,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    def test_block_equals_one_trial_blocks(
+        self, config_factory, coin_flip, stream, k, data_seed
+    ):
+        rng = np.random.default_rng(data_seed)
+        columns = STREAM_GEOMETRY.columns
+        rows = rng.integers(
+            0, 2, (k, STREAM_GEOMETRY.rows_per_bank, columns), dtype=np.uint8
+        )
+        wr_data = rng.integers(0, 2, (k, len(stream), columns), dtype=np.uint8)
+
+        block_bank = _stream_bank(config_factory, coin_flip)
+        _, generators = block_bank.reserve_trial_block(k)
+        block = BatchedBank(block_bank, generators)
+        block_reads, block_error = _replay(block, stream, rows, wr_data)
+
+        # Trial i runs alone on a fresh bank whose trial counter stands
+        # at i: every row is refilled, so nothing else carries over.
+        trials = []
+        for i in range(k):
+            bank = _stream_bank(config_factory, coin_flip)
+            if i:
+                bank.reserve_trial_block(i)
+            bank.reserve_trial_block(1)
+            reads, error = _replay(bank, stream, rows[i], wr_data[i])
+            trials.append((bank, reads, error))
+
+        errors = [error for _, _, error in trials if error is not None]
+        if block_error is None:
+            assert errors == []
+        else:
+            assert errors, f"the block raised {block_error}, no trial did"
+            first = min(index for index, _ in errors)
+            assert block_error[0] == first
+            assert block_error[1] in {
+                kind for index, kind in errors if index == first
+            }
+        for index, block_read in block_reads.items():
+            for i, (_, reads, _) in enumerate(trials):
+                assert np.array_equal(block_read[i], reads[index])
+        if block_error is not None:
+            return
+
+        block.finalize()
+        last_bank = trials[-1][0]
+        for mine, theirs in zip(block_bank.subarrays, last_bank.subarrays):
+            assert np.array_equal(mine.voltages, theirs.voltages)
+        assert block_bank.ignored_commands == sum(
+            bank.ignored_commands for bank, _, _ in trials
+        )

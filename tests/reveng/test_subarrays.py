@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.bender import DramBenderHost
 from repro.reveng.subarrays import SubarrayMap, SubarrayMapper
 from repro.errors import ReverseEngineeringError
 
@@ -42,6 +43,13 @@ class TestSubarrayMapper:
         assert sorted(sorted(g) for g in groups) == [
             [5, 100], [200, 300], [400, 500],
         ]
+
+    def test_boundary_probes_pass_the_error_gate(self, ideal_module):
+        # Probing across a subarray boundary is the point of the mapper:
+        # the failed copy must not trip the static RowClone check (FC113).
+        host = DramBenderHost(ideal_module, verify="error")
+        recovered = SubarrayMapper(host, bank=0).map_bank(coarse_step=32)
+        assert recovered.count == ideal_module.config.geometry.subarrays_per_bank
 
     def test_rejects_bad_step(self, ideal_host):
         mapper = SubarrayMapper(ideal_host, bank=0)
